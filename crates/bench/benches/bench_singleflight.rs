@@ -5,7 +5,7 @@
 
 use criterion::Criterion;
 use hpcdash_bench::banner;
-use hpcdash_cache::{CachedFetcher, TtlCache};
+use hpcdash_cache::{CachedFetcher, GraceOutcome, TtlCache};
 use hpcdash_simtime::{SimClock, Timestamp};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -64,7 +64,10 @@ fn herd_coalesced(threads: usize) -> (u64, Duration) {
             let barrier = barrier.clone();
             std::thread::spawn(move || {
                 barrier.wait();
-                fetcher.get_or_fetch("k", 60, || backend_query(&loads))
+                match fetcher.get_or_fetch_grace("k", 60, || Some(backend_query(&loads))) {
+                    GraceOutcome::Hit(v) | GraceOutcome::Loaded { value: v, .. } => v,
+                    other => panic!("backend query never fails: {other:?}"),
+                }
             })
         })
         .collect();
@@ -119,10 +122,10 @@ fn main() {
     {
         let clock = SimClock::new(Timestamp(0));
         let fetcher = CachedFetcher::<u64>::new(clock.shared());
-        fetcher.get_or_fetch("hot", 3_600, || 7);
+        fetcher.get_or_fetch_grace("hot", 3_600, || Some(7));
         let mut group = c.benchmark_group("singleflight_overhead");
         group.bench_function("hit_via_fetcher", |b| {
-            b.iter(|| fetcher.get_or_fetch("hot", 3_600, || unreachable!()))
+            b.iter(|| fetcher.get_or_fetch_grace("hot", 3_600, || unreachable!()))
         });
         let cache = TtlCache::<u64>::new(SimClock::new(Timestamp(0)).shared());
         cache.insert("hot", 7, 3_600);

@@ -9,24 +9,21 @@ use hpcdash_simtime::SharedClock;
 /// Cache-or-load with request coalescing.
 ///
 /// ```
-/// use hpcdash_cache::CachedFetcher;
+/// use hpcdash_cache::{CachedFetcher, GraceOutcome};
 /// use hpcdash_simtime::{SimClock, Timestamp};
 ///
 /// let clock = SimClock::new(Timestamp(0));
 /// let fetcher: CachedFetcher<String> = CachedFetcher::new(clock.shared());
-/// let v = fetcher.get_or_fetch("squeue:alice", 30, || "two jobs".to_string());
-/// assert_eq!(v, "two jobs");
+/// let v = fetcher.get_or_fetch_grace("squeue:alice", 30, || Some("two jobs".to_string()));
+/// assert_eq!(v, GraceOutcome::Loaded { value: "two jobs".to_string(), coalesced: false });
 /// // Within the TTL the loader is not called again.
-/// let v2 = fetcher.get_or_fetch("squeue:alice", 30, || unreachable!());
-/// assert_eq!(v2, "two jobs");
+/// let v2 = fetcher.get_or_fetch_grace("squeue:alice", 30, || unreachable!());
+/// assert_eq!(v2, GraceOutcome::Hit("two jobs".to_string()));
 /// ```
 pub struct CachedFetcher<V> {
     cache: TtlCache<V>,
-    flight: SingleFlight<V>,
-    /// Coalesces fallible loads (`get_or_fetch_grace`), whose in-flight
-    /// value is `Option<V>` — kept separate from `flight` so the two entry
-    /// points cannot hand each other the wrong payload type.
-    grace_flight: SingleFlight<Option<V>>,
+    /// Coalesces loads; the in-flight value is `None` when the load failed.
+    flight: SingleFlight<Option<V>>,
 }
 
 /// How [`CachedFetcher::get_or_fetch_grace`] answered.
@@ -49,68 +46,6 @@ impl<V: Clone> CachedFetcher<V> {
         CachedFetcher {
             cache: TtlCache::new(clock),
             flight: SingleFlight::new(),
-            grace_flight: SingleFlight::new(),
-        }
-    }
-
-    /// Return the cached value for `key`, or run `load` (coalesced across
-    /// threads) and cache its result for `ttl_secs`.
-    pub fn get_or_fetch(&self, key: &str, ttl_secs: u64, load: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.cache.get(key) {
-            return v;
-        }
-        let (value, leader) = self.flight.work(key, || {
-            let v = load();
-            self.cache.insert(key.to_string(), v.clone(), ttl_secs);
-            v
-        });
-        if !leader {
-            self.cache.stats().coalesce();
-        }
-        value
-    }
-
-    /// Serve stale data instantly when available; refresh only on a true
-    /// miss. Returns `(value, was_stale)`.
-    pub fn get_or_fetch_stale(
-        &self,
-        key: &str,
-        ttl_secs: u64,
-        load: impl FnOnce() -> V,
-    ) -> (V, bool) {
-        match self.cache.get_allow_stale(key) {
-            Some((v, true)) => {
-                self.cache.stats().hit();
-                (v, false)
-            }
-            Some((v, false)) => {
-                self.cache.stats().stale_serve();
-                // Kick a refresh inline (the simulated analog of Rails'
-                // background revalidation); callers that need async refresh
-                // wrap this in their own worker.
-                let (fresh, leader) = self.flight.work(key, || {
-                    let fresh = load();
-                    self.cache.insert(key.to_string(), fresh.clone(), ttl_secs);
-                    fresh
-                });
-                let _ = fresh;
-                if !leader {
-                    self.cache.stats().coalesce();
-                }
-                (v, true)
-            }
-            None => {
-                self.cache.stats().miss();
-                let (value, leader) = self.flight.work(key, || {
-                    let v = load();
-                    self.cache.insert(key.to_string(), v.clone(), ttl_secs);
-                    v
-                });
-                if !leader {
-                    self.cache.stats().coalesce();
-                }
-                (value, false)
-            }
         }
     }
 
@@ -130,7 +65,7 @@ impl<V: Clone> CachedFetcher<V> {
         if let Some((v, _age)) = self.cache.get_with_age(key) {
             return GraceOutcome::Hit(v);
         }
-        let (result, leader) = self.grace_flight.work(key, || {
+        let (result, leader) = self.flight.work(key, || {
             let fresh = load();
             if let Some(v) = &fresh {
                 self.cache.insert(key.to_string(), v.clone(), ttl_secs);
@@ -192,82 +127,35 @@ mod tests {
     fn loads_once_within_ttl() {
         let (f, clock) = fetcher();
         let loads = AtomicU64::new(0);
-        for _ in 0..10 {
-            let v = f.get_or_fetch("k", 30, || {
-                loads.fetch_add(1, Ordering::SeqCst);
-                99
-            });
-            assert_eq!(v, 99);
-        }
-        assert_eq!(loads.load(Ordering::SeqCst), 1);
-        clock.advance(31);
-        f.get_or_fetch("k", 30, || {
+        let load = |v| {
             loads.fetch_add(1, Ordering::SeqCst);
-            100
-        });
-        assert_eq!(loads.load(Ordering::SeqCst), 2, "reloaded after expiry");
-    }
-
-    #[test]
-    fn storm_of_misses_loads_once() {
-        let (f, _clock) = fetcher();
-        let loads = Arc::new(AtomicU64::new(0));
-        let barrier = Arc::new(std::sync::Barrier::new(16));
-        let mut handles = Vec::new();
-        for _ in 0..16 {
-            let f = f.clone();
-            let loads = loads.clone();
-            let barrier = barrier.clone();
-            handles.push(std::thread::spawn(move || {
-                barrier.wait();
-                f.get_or_fetch("squeue", 30, || {
-                    loads.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(30));
-                    5
-                })
-            }));
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 5);
+            Some(v)
+        };
+        for _ in 0..10 {
+            f.get_or_fetch_grace("k", 30, || load(99));
         }
         assert_eq!(
-            loads.load(Ordering::SeqCst),
-            1,
-            "one backend query for 16 users"
+            f.get_or_fetch_grace("k", 30, || None),
+            GraceOutcome::Hit(99)
         );
-        assert!(f.stats().coalesced >= 1);
-    }
-
-    #[test]
-    fn stale_while_revalidate_serves_old_value() {
-        let (f, clock) = fetcher();
-        f.get_or_fetch("k", 10, || 1);
-        clock.advance(11);
-        let (v, was_stale) = f.get_or_fetch_stale("k", 10, || 2);
-        assert_eq!(v, 1, "stale value served instantly");
-        assert!(was_stale);
-        // The refresh already landed.
-        let (v, was_stale) = f.get_or_fetch_stale("k", 10, || 3);
-        assert_eq!(v, 2);
-        assert!(!was_stale);
-        assert!(f.stats().stale_serves >= 1);
-    }
-
-    #[test]
-    fn cold_stale_fetch_loads() {
-        let (f, _clock) = fetcher();
-        let (v, was_stale) = f.get_or_fetch_stale("cold", 10, || 7);
-        assert_eq!(v, 7);
-        assert!(!was_stale);
+        assert_eq!(loads.load(Ordering::SeqCst), 1);
+        clock.advance(31);
+        f.get_or_fetch_grace("k", 30, || load(100));
+        assert_eq!(loads.load(Ordering::SeqCst), 2, "reloaded after expiry");
     }
 
     #[test]
     fn invalidate_forces_reload() {
         let (f, _clock) = fetcher();
-        f.get_or_fetch("k", 1_000, || 1);
+        f.get_or_fetch_grace("k", 1_000, || Some(1));
         assert!(f.invalidate("k"));
-        let v = f.get_or_fetch("k", 1_000, || 2);
-        assert_eq!(v, 2);
+        assert_eq!(
+            f.get_or_fetch_grace("k", 1_000, || Some(2)),
+            GraceOutcome::Loaded {
+                value: 2,
+                coalesced: false
+            }
+        );
     }
 
     #[test]

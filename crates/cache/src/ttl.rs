@@ -11,6 +11,12 @@ use std::sync::Arc;
 
 const SHARDS: usize = 16;
 
+/// The most entries one shard holds.
+const SHARD_CAP: usize = 256;
+
+/// The most entries the whole cache holds.
+pub const MAX_ENTRIES: usize = SHARDS * SHARD_CAP;
+
 #[derive(Debug, Clone)]
 struct Entry<V> {
     value: V,
@@ -28,7 +34,10 @@ impl<V> Entry<V> {
 ///
 /// Sharded so that widget routes refreshing different data sources do not
 /// contend on one lock (the hpc-parallel guides' standard remedy for hot
-/// shared maps).
+/// shared maps). Expired entries stay readable as serve-stale copies until
+/// a shard is full (256 entries): a new key arriving at a full shard first
+/// drops that shard's expired entries, then its oldest (earliest stored,
+/// ties broken by key).
 pub struct TtlCache<V> {
     shards: Vec<RwLock<HashMap<String, Entry<V>>>>,
     clock: SharedClock,
@@ -76,14 +85,6 @@ impl<V: Clone> TtlCache<V> {
         }
     }
 
-    /// The value even if expired (for stale-while-revalidate callers),
-    /// tagged with whether it is still fresh.
-    pub fn get_allow_stale(&self, key: &str) -> Option<(V, bool)> {
-        let now = self.clock.now();
-        let shard = self.shard(key).read();
-        shard.get(key).map(|e| (e.value.clone(), !e.expired(now)))
-    }
-
     /// The value even if expired, with its age in seconds and freshness —
     /// the serve-stale-on-error read: when a refresh fails, the caller
     /// returns this last-known-good value labelled "from N seconds ago".
@@ -98,12 +99,26 @@ impl<V: Clone> TtlCache<V> {
 
     pub fn insert(&self, key: impl Into<String>, value: V, ttl_secs: u64) {
         let key = key.into();
+        let now = self.clock.now();
+        let mut shard = self.shard(&key).write();
+        if shard.len() >= SHARD_CAP && !shard.contains_key(&key) {
+            shard.retain(|_, e| !e.expired(now));
+            if shard.len() >= SHARD_CAP {
+                let oldest = shard
+                    .iter()
+                    .min_by_key(|&(k, e)| (e.stored_at, k))
+                    .map(|(k, _)| k.clone());
+                if let Some(k) = oldest {
+                    shard.remove(&k);
+                }
+            }
+        }
         let entry = Entry {
             value,
-            stored_at: self.clock.now(),
+            stored_at: now,
             ttl_secs,
         };
-        self.shard(&key).write().insert(key, entry);
+        shard.insert(key, entry);
         self.stats.insert();
     }
 
@@ -173,8 +188,8 @@ mod tests {
         assert_eq!(c.get("squeue:alice"), None, "expired exactly at ttl");
         // Still present as stale.
         assert_eq!(
-            c.get_allow_stale("squeue:alice"),
-            Some(("jobs".to_string(), false))
+            c.get_stale_with_age("squeue:alice"),
+            Some(("jobs".to_string(), 30, false))
         );
     }
 
@@ -223,6 +238,60 @@ mod tests {
         assert!(!c.invalidate("k1"));
         c.clear();
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn full_shard_drops_expired_then_oldest() {
+        let (c, clock) = cache();
+        // Keys that all land in one shard.
+        let target = c.shard("k0");
+        let keys: Vec<String> = (0..)
+            .map(|i| format!("k{i}"))
+            .filter(|k| std::ptr::eq(c.shard(k), target))
+            .take(SHARD_CAP + 11)
+            .collect();
+        // Fill the shard a second apart; the first ten live five seconds.
+        for (i, k) in keys[..SHARD_CAP].iter().enumerate() {
+            c.insert(k.clone(), i.to_string(), if i < 10 { 5 } else { 10_000 });
+            clock.advance(1);
+        }
+        assert_eq!(c.len(), SHARD_CAP);
+        assert!(
+            c.get_stale_with_age(&keys[0]).is_some(),
+            "below the cap, expired copies stay for serve-stale"
+        );
+        // Rewriting a present key at the cap evicts nothing.
+        c.insert(keys[20].clone(), "again".to_string(), 10_000);
+        assert_eq!(c.len(), SHARD_CAP);
+        // A new key at the cap drops the shard's expired entries first...
+        c.insert(keys[SHARD_CAP].clone(), "new".to_string(), 10_000);
+        assert_eq!(c.len(), SHARD_CAP - 9);
+        assert!(keys[..10].iter().all(|k| c.get_stale_with_age(k).is_none()));
+        // ...and once none are expired, the oldest stored entry.
+        for k in &keys[SHARD_CAP + 1..] {
+            clock.advance(1);
+            c.insert(k.clone(), "new".to_string(), 10_000);
+        }
+        assert_eq!(c.len(), SHARD_CAP, "the cap holds");
+        assert!(c.get_stale_with_age(&keys[10]).is_none(), "oldest evicted");
+        assert!(c.get_stale_with_age(&keys[11]).is_some());
+        assert!(
+            c.get_stale_with_age(&keys[20]).is_some(),
+            "rewrite made it young"
+        );
+    }
+
+    #[test]
+    fn key_flood_stays_under_the_cap() {
+        let (c, _clock) = cache();
+        for i in 0..20_000 {
+            c.insert(format!("myjobs:alice:p{i}"), i.to_string(), 120);
+        }
+        assert!(c.len() <= MAX_ENTRIES, "{} entries", c.len());
+        assert!(
+            c.get("myjobs:alice:p19999").is_some(),
+            "the newest insert survives"
+        );
     }
 
     #[test]

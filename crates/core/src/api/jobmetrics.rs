@@ -33,7 +33,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
         return Response::bad_request("invalid range");
     };
     let now = ctx.now();
-    let key = format!("jobmetrics:{}:{:?}", user.username, range.window(now));
+    let key = format!("jobmetrics:{}:{:?}", user.username, range);
     let outcome = ctx.cached_resilient(&key, ctx.cfg.cache.jobmetrics, || {
         ctx.note_source(FEATURE, "sacct (slurmdbd)");
         let (since, until) = range.window(now);

@@ -44,7 +44,7 @@ mod tests {
     #[test]
     fn exposes_text_and_json() {
         let ctx = test_ctx();
-        ctx.cached("squeue:alice", 60, || json!(1));
+        ctx.cached_resilient("squeue:alice", 60, || Ok(json!(1)));
         let resp = handle(&ctx, &Request::new(Method::Get, "/api/metrics"));
         assert_eq!(resp.status, 200);
         let text = resp.body_string();

@@ -77,12 +77,14 @@ pub(crate) fn respond(outcome: SourceOutcome) -> Response {
 ///
 /// The key folds in everything that can change the bytes: the route and
 /// concrete path (so `:param` routes key per target), the authenticated
-/// identity with its admin bit, any `X-Act-As` impersonation, and the
-/// query string. The version is the cluster snapshot's publication seq —
-/// a new scheduler epoch invalidates implicitly, the same trick the
-/// `/slurm/v0` response cache uses. `now`/TTL ride the sim clock so the
-/// render cache can never outlive the JSON value cache underneath it, and
-/// a TTL of zero (the no-cache ablation) disables render caching too.
+/// identity with its admin bit, and any `X-Act-As` impersonation. Query
+/// parameters are left out: no cached handler reads one, so `?junk=<i>`
+/// cannot mint new entries. The version is the cluster snapshot's
+/// publication seq — a new scheduler epoch invalidates implicitly, the
+/// same trick the `/slurm/v0` response cache uses. `now`/TTL ride the sim
+/// clock so the render cache can never outlive the JSON value cache
+/// underneath it, and a TTL of zero (the no-cache ablation) disables
+/// render caching too.
 pub(crate) fn render_decision(
     ctx: &DashboardContext,
     req: &Request,
@@ -109,12 +111,6 @@ pub(crate) fn render_decision(
             key.push_str("|act:");
             key.push_str(target);
         }
-    }
-    for (k, v) in &req.query {
-        key.push('|');
-        key.push_str(k);
-        key.push('=');
-        key.push_str(v);
     }
     Some(CacheDecision {
         key,
@@ -173,9 +169,6 @@ pub(crate) fn daemons_payload(ctx: &DashboardContext) -> serde_json::Value {
 
 /// Register every feature's API route(s).
 pub fn register_all(router: &mut Router, ctx: &DashboardContext) {
-    // The recovery watch purges the router's render-bytes cache after a
-    // daemon crash-recovery; hand it over before any route can populate it.
-    ctx.attach_render_cache(router.render_cache().clone());
     announcements::register(router, ctx.clone());
     recent_jobs::register(router, ctx.clone());
     system_status::register(router, ctx.clone());

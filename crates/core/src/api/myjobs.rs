@@ -55,12 +55,7 @@ fn handle(ctx: &DashboardContext, req: &Request) -> Response {
     let now = ctx.now();
     let key = format!(
         "myjobs:{}:{:?}:{:?}:{:?}:{:?}:{:?}",
-        user.username,
-        range.window(now),
-        state_filter,
-        partition_filter,
-        qos_filter,
-        member_filter,
+        user.username, range, state_filter, partition_filter, qos_filter, member_filter,
     );
     let outcome = ctx.cached_resilient(&key, ctx.cfg.cache.myjobs, || {
         let accounts = user.visible_accounts(ctx);
@@ -323,6 +318,24 @@ mod tests {
         assert_eq!(
             resp.body_json().unwrap()["jobs"].as_array().unwrap().len(),
             0
+        );
+    }
+
+    #[test]
+    fn requests_a_sim_second_apart_share_one_sacct_load() {
+        let (ctx, clock) = crate::ctx::tests::test_ctx_clocked();
+        // Past the first week, so the 7-day window moves with the clock.
+        clock.advance(8 * 86_400);
+        submit_and_tick(&ctx);
+        let sacct_loads = || ctx.dbd.stats().count_of("sacct_query");
+        let before = sacct_loads();
+        assert_eq!(handle(&ctx, &request("/api/myjobs", "alice")).status, 200);
+        clock.advance(1);
+        assert_eq!(handle(&ctx, &request("/api/myjobs", "alice")).status, 200);
+        assert_eq!(
+            sacct_loads() - before,
+            1,
+            "the key names the range, not the window it covers at `now`"
         );
     }
 }

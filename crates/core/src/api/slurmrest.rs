@@ -19,7 +19,7 @@
 
 use crate::auth::{note_act_as, CurrentUser};
 use crate::ctx::DashboardContext;
-use hpcdash_http::{Method, Request, Response, Router};
+use hpcdash_http::{CacheDecision, Method, Request, Response, Router};
 use hpcdash_restapi::{serialize, visible_job_positions, AuthedToken, Scope, ScopeSet};
 use hpcdash_slurm::job::JobId;
 use hpcdash_slurm::snapshot::ClusterSnapshot;
@@ -103,12 +103,14 @@ impl Endpoint {
     }
 }
 
+const JSON: &str = "application/json";
+
 /// Serve already-serialized bytes (the whole family answers from strings,
 /// never from a `Value` round-trip).
-fn bytes(body: &str) -> Response {
+fn bytes(body: Arc<[u8]>) -> Response {
     Response::new(200)
-        .with_header("Content-Type", "application/json")
-        .with_body(body.as_bytes().to_vec())
+        .with_header("Content-Type", JSON)
+        .with_body(body)
 }
 
 /// Resolve the bearer token, or the 401 to send. Deny-by-default: there is
@@ -171,14 +173,14 @@ fn read(ctx: &DashboardContext, req: &Request, endpoint: Endpoint) -> Response {
         check.burn();
         if let Some(msg) = check.error() {
             return match ctx.rest_cache.last_any(&key) {
-                Some((seq, body)) => {
+                Some(stale) => {
                     ctx.obs
                         .counter(
                             "hpcdash_restapi_stale_serves_total",
                             &[("endpoint", endpoint.name())],
                         )
                         .inc();
-                    bytes(&body).with_header("X-Hpcdash-Stale", &seq.to_string())
+                    bytes(stale.body).with_header("X-Hpcdash-Stale", &stale.version.to_string())
                 }
                 None => Response::service_unavailable(msg),
             };
@@ -187,15 +189,16 @@ fn read(ctx: &DashboardContext, req: &Request, endpoint: Endpoint) -> Response {
     // Lock-free read: the epoch cell hands back the latest published
     // snapshot; the daemon's state mutex is never touched.
     let snap = ctx.ctld.snapshot();
-    if let Some(body) = ctx.rest_cache.get(&key, snap.seq) {
-        return bytes(&body);
+    let d = CacheDecision::versioned(key, snap.seq);
+    if let Some(hit) = ctx.rest_cache.get(&d) {
+        return bytes(hit.body);
     }
-    let body = match build(ctx, req, endpoint, &snap, &token.scopes, &subject) {
-        Ok(b) => b,
+    let body: Arc<[u8]> = match build(ctx, req, endpoint, &snap, &token.scopes, &subject) {
+        Ok(b) => Arc::from(b.into_bytes()),
         Err(resp) => return resp,
     };
-    ctx.rest_cache.put(&key, snap.seq, Arc::from(body.as_str()));
-    bytes(&body)
+    ctx.rest_cache.put(&d, body.clone(), JSON, None);
+    bytes(body)
 }
 
 /// Scope-gate and serialize one endpoint. `Err` carries the 403/404 to
@@ -403,9 +406,9 @@ fn cluster_read(ctx: &DashboardContext, req: &Request, endpoint: FedEndpoint) ->
     };
     // The render-bytes key carries the cluster dimension; the version is the
     // *slice's* seq, so stale bytes stay valid for the epoch they reflect.
-    let key = format!("{}|{}", endpoint.name(), cluster);
-    let body = match ctx.rest_cache.get(&key, snap.seq) {
-        Some(body) => body,
+    let d = CacheDecision::versioned(format!("{}|{}", endpoint.name(), cluster), snap.seq);
+    let body = match ctx.rest_cache.get(&d) {
+        Some(hit) => hit.body,
         None => {
             let built = match endpoint {
                 FedEndpoint::Jobs => {
@@ -418,12 +421,12 @@ fn cluster_read(ctx: &DashboardContext, req: &Request, endpoint: FedEndpoint) ->
                     serialize::partitions_body(&snap, &indices)
                 }
             };
-            let body: Arc<str> = Arc::from(built.as_str());
-            ctx.rest_cache.put(&key, snap.seq, body.clone());
+            let body: Arc<[u8]> = Arc::from(built.into_bytes());
+            ctx.rest_cache.put(&d, body.clone(), JSON, None);
             body
         }
     };
-    let resp = bytes(&body);
+    let resp = bytes(body);
     match stale_age {
         Some(age) => {
             ctx.obs

@@ -19,6 +19,7 @@ impl Dashboard {
     pub fn new(ctx: DashboardContext) -> Dashboard {
         let mut router = Router::new();
         router.set_registry(ctx.obs.clone());
+        router.set_render_cache(ctx.render_cache.clone());
         register_collectors(&ctx);
         api::register_all(&mut router, &ctx);
         register_pages(&mut router, &ctx);

@@ -9,7 +9,7 @@ use hpcdash_news::NewsFeed;
 use hpcdash_obs::health::HealthBoard;
 use hpcdash_obs::{Registry, Span};
 use hpcdash_push::{AccountResolver, Hub, HubConfig};
-use hpcdash_restapi::{RestCache, TokenStore};
+use hpcdash_restapi::TokenStore;
 use hpcdash_simtime::{SharedClock, Timestamp};
 use hpcdash_slurm::ctld::Slurmctld;
 use hpcdash_slurm::dbd::Slurmdbd;
@@ -56,7 +56,10 @@ pub struct DashboardContext {
     pub tokens: Arc<TokenStore>,
     /// Serialized `/slurm/v0` response bytes keyed on snapshot seq — the
     /// steady-state fast path, and the stale fallback under faults.
-    pub rest_cache: Arc<RestCache>,
+    pub rest_cache: Arc<RenderCache>,
+    /// The router's render-bytes cache for widget routes; the dashboard
+    /// hands it to the router so a crash recovery can purge it.
+    pub render_cache: Arc<RenderCache>,
     /// The multi-cluster federation registry. [`DashboardContext::new`]
     /// builds a single-site registry around the context's own `slurmctld`,
     /// so federated routes always answer; multi-site deployments inject a
@@ -78,42 +81,6 @@ pub struct DashboardContext {
 struct RecoveryWatch {
     ctld_seen: AtomicU64,
     dbd_seen: AtomicU64,
-    /// The HTTP router's render-bytes cache, attached at route-registration
-    /// time (the context is built before the router exists).
-    render_cache: Mutex<Option<Arc<RenderCache>>>,
-}
-
-/// Typed cache envelope for [`DashboardContext::cached_result`]. Every
-/// loader outcome is wrapped in a variant, so the payload itself is opaque:
-/// no field name a data source could emit (historically the magic
-/// `"__error"` key) can be mistaken for the failure marker.
-#[derive(Debug, Clone, PartialEq)]
-enum CacheEnvelope {
-    Ok(serde_json::Value),
-    Failed(String),
-}
-
-impl CacheEnvelope {
-    fn to_value(&self) -> serde_json::Value {
-        match self {
-            CacheEnvelope::Ok(v) => serde_json::json!({ "Ok": v }),
-            CacheEnvelope::Failed(e) => serde_json::json!({ "Failed": e }),
-        }
-    }
-
-    fn from_value(value: serde_json::Value) -> CacheEnvelope {
-        if let Some(obj) = value.as_object() {
-            if obj.len() == 1 {
-                if let Some(inner) = obj.get("Ok") {
-                    return CacheEnvelope::Ok(inner.clone());
-                }
-                if let Some(msg) = obj.get("Failed").and_then(|e| e.as_str()) {
-                    return CacheEnvelope::Failed(msg.to_string());
-                }
-            }
-        }
-        CacheEnvelope::Failed("malformed cache envelope".to_string())
-    }
 }
 
 /// The data-source label for a cache key: the prefix before the first `:`
@@ -231,7 +198,8 @@ impl DashboardContext {
             cfg: Arc::new(cfg),
             cache: Arc::new(CachedFetcher::new(clock.clone())),
             tokens,
-            rest_cache: Arc::new(RestCache::new()),
+            rest_cache: Arc::new(RenderCache::new()),
+            render_cache: Arc::new(RenderCache::new()),
             telemetry,
             obs,
             health: Arc::new(HealthBoard::new()),
@@ -270,14 +238,6 @@ impl DashboardContext {
 
     pub fn now(&self) -> Timestamp {
         self.clock.now()
-    }
-
-    /// Hand the recovery watch the router's render-bytes cache so a crash
-    /// recovery can purge dead-epoch renders too. Called by
-    /// `api::register_all`; a context that never serves HTTP (pure sim
-    /// drivers) simply has nothing to purge there.
-    pub fn attach_render_cache(&self, cache: Arc<RenderCache>) {
-        *self.recovery.render_cache.lock() = Some(cache);
     }
 
     /// Observe daemon crash-recoveries and purge dead-epoch caches.
@@ -337,9 +297,7 @@ impl DashboardContext {
             // kills every byte keyed below the republished epoch.
             if daemon == "slurmctld" {
                 purged += self.rest_cache.purge_below(r.epoch_after);
-                if let Some(render) = self.recovery.render_cache.lock().clone() {
-                    purged += render.purge_version_below(r.epoch_after);
-                }
+                purged += self.render_cache.purge_below(r.epoch_after);
             }
         }
         // The widget JSON cache carries no epoch tags — post-recovery its
@@ -373,98 +331,8 @@ impl DashboardContext {
         self.sources.lock().clear();
     }
 
-    /// Fetch-with-cache wrapper all routes use. A `ttl` of zero bypasses the
-    /// cache entirely (used by the no-cache ablation).
-    pub fn cached(
-        &self,
-        key: &str,
-        ttl: u64,
-        load: impl FnOnce() -> serde_json::Value,
-    ) -> serde_json::Value {
-        if ttl == 0 {
-            return load();
-        }
-        let source = source_of(key);
-        let labels = [("source", source)];
-        self.obs
-            .counter("hpcdash_cache_requests_total", &labels)
-            .inc();
-        let loader_ran = Cell::new(false);
-        let value = self.cache.get_or_fetch(key, ttl, || {
-            loader_ran.set(true);
-            let _span = Span::enter("cache-miss").attr("key", key.to_string());
-            load()
-        });
-        let counter = if loader_ran.get() {
-            "hpcdash_cache_misses_total"
-        } else {
-            "hpcdash_cache_hits_total"
-        };
-        self.obs.counter(counter, &labels).inc();
-        value
-    }
-
-    /// Like [`DashboardContext::cached`], but failures are never cached: a
-    /// broken data source keeps being retried instead of pinning its error
-    /// into the cache until expiry.
-    pub fn cached_result(
-        &self,
-        key: &str,
-        ttl: u64,
-        load: impl FnOnce() -> Result<serde_json::Value, String>,
-    ) -> Result<serde_json::Value, String> {
-        let source = source_of(key);
-        if ttl == 0 {
-            let outcome = load();
-            match &outcome {
-                Ok(_) => self.health.record_ok(source),
-                Err(_) => self.health.record_error(source),
-            }
-            return outcome;
-        }
-        let labels = [("source", source)];
-        self.obs
-            .counter("hpcdash_cache_requests_total", &labels)
-            .inc();
-        let loader_ran = Cell::new(false);
-        let value = self.cache.get_or_fetch(key, ttl, || {
-            loader_ran.set(true);
-            let _span = Span::enter("cache-miss").attr("key", key.to_string());
-            match load() {
-                Ok(v) => CacheEnvelope::Ok(v).to_value(),
-                Err(e) => CacheEnvelope::Failed(e).to_value(),
-            }
-        });
-        let counter = if loader_ran.get() {
-            "hpcdash_cache_misses_total"
-        } else {
-            "hpcdash_cache_hits_total"
-        };
-        self.obs.counter(counter, &labels).inc();
-        match CacheEnvelope::from_value(value) {
-            CacheEnvelope::Ok(v) => {
-                // Only loader runs probe the backend; cache hits say nothing
-                // about source health.
-                if loader_ran.get() {
-                    self.health.record_ok(source);
-                }
-                Ok(v)
-            }
-            CacheEnvelope::Failed(e) => {
-                // A served failure is an observed failure even when this
-                // caller coalesced onto another thread's load (or raced a
-                // just-stored envelope): the user saw the source fail, so
-                // the health board must too.
-                self.health.record_error(source);
-                self.cache.invalidate(key);
-                Err(e)
-            }
-        }
-    }
-
-    /// The resilient fetch path routes use: cache + single-flight like
-    /// [`DashboardContext::cached_result`], wrapped in the full
-    /// [`crate::config::ResiliencePolicy`]:
+    /// The fetch path every route uses: cache + single-flight, wrapped in
+    /// the full [`crate::config::ResiliencePolicy`]:
     ///
     /// * failed loads are retried up to `max_retries` times with seeded
     ///   exponential-jitter backoff, bounded by the per-request deadline;
@@ -621,6 +489,7 @@ impl DashboardContext {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use hpcdash_http::CacheDecision;
     use hpcdash_simtime::{Clock, SimClock};
     use hpcdash_slurm::assoc::{Account, AssocStore};
     use hpcdash_slurm::cluster::ClusterSpec;
@@ -677,87 +546,6 @@ pub(crate) mod tests {
             Arc::new(StorageDb::with_cost(std::time::Duration::ZERO)),
             Arc::new(NewsFeed::new()),
         )
-    }
-
-    #[test]
-    fn cached_respects_ttl_zero() {
-        let ctx = test_ctx();
-        let mut calls = 0;
-        for _ in 0..3 {
-            ctx.cached("k", 0, || {
-                calls += 1;
-                json!(1)
-            });
-        }
-        assert_eq!(calls, 3, "ttl=0 bypasses the cache");
-    }
-
-    #[test]
-    fn cached_caches() {
-        let ctx = test_ctx();
-        let v1 = ctx.cached("k", 60, || json!({"x": 1}));
-        let v2 = ctx.cached("k", 60, || unreachable!());
-        assert_eq!(v1, v2);
-    }
-
-    #[test]
-    fn cached_result_payload_may_contain_error_like_keys() {
-        // Regression: the old implementation signalled loader failure with a
-        // magic "__error" key inside the cached value itself, so a legitimate
-        // payload carrying that field was misread as a failure (and never
-        // cached). The typed envelope keeps payloads opaque.
-        let ctx = test_ctx();
-        let tricky = json!({"__error": "this is data, not a failure", "rows": [1, 2]});
-        let expect = tricky.clone();
-        let got = ctx.cached_result("tricky:key", 60, || Ok(tricky)).unwrap();
-        assert_eq!(got, expect);
-        // And it really was cached (second call never invokes the loader).
-        let again = ctx
-            .cached_result("tricky:key", 60, || unreachable!())
-            .unwrap();
-        assert_eq!(again, expect);
-    }
-
-    #[test]
-    fn cached_result_failures_are_retried_not_cached() {
-        let ctx = test_ctx();
-        let mut calls = 0;
-        for _ in 0..3 {
-            let r = ctx.cached_result("flaky:x", 60, || {
-                calls += 1;
-                Err::<serde_json::Value, _>("backend down".to_string())
-            });
-            assert_eq!(r.unwrap_err(), "backend down");
-        }
-        assert_eq!(calls, 3, "errors are never served from cache");
-        assert_eq!(
-            ctx.health.status_of("flaky"),
-            hpcdash_obs::health::HealthStatus::Down
-        );
-    }
-
-    #[test]
-    fn served_failure_envelopes_always_hit_the_health_board() {
-        // Regression: a Failed envelope served where the loader did NOT run
-        // (a coalesced follower, or a raced just-stored envelope) returned
-        // Err to the user without recording the failure, so /api/health
-        // could show a source Up while every request to it was failing.
-        // Seed a Failed envelope directly, as the race would have.
-        let ctx = test_ctx();
-        ctx.cache.get_or_fetch(
-            "racy:k",
-            60,
-            || serde_json::json!({ "Failed": "backend down" }),
-        );
-        let r = ctx.cached_result("racy:k", 60, || unreachable!());
-        assert_eq!(r.unwrap_err(), "backend down");
-        let report = ctx.health.report();
-        let racy = report
-            .sources
-            .iter()
-            .find(|s| s.name == "racy")
-            .expect("a served failure is an observed failure even without a loader run");
-        assert_eq!(racy.total_err, 1);
     }
 
     #[test]
@@ -943,9 +731,9 @@ pub(crate) mod tests {
     #[test]
     fn cache_hit_miss_counters_by_source() {
         let ctx = test_ctx();
-        ctx.cached("squeue:alice", 60, || json!(1));
-        ctx.cached("squeue:alice", 60, || unreachable!());
-        ctx.cached("squeue:bob", 60, || json!(2));
+        ctx.cached_resilient("squeue:alice", 60, || Ok(json!(1)));
+        ctx.cached_resilient("squeue:alice", 60, || unreachable!());
+        ctx.cached_resilient("squeue:bob", 60, || Ok(json!(2)));
         let labels = [("source", "squeue")];
         assert_eq!(
             ctx.obs
@@ -967,15 +755,18 @@ pub(crate) mod tests {
     fn recovery_observation_purges_dead_epoch_caches_exactly_once() {
         let (ctx, clock) = test_ctx_clocked();
         // Warm all three cache layers with pre-crash state.
-        ctx.cached("squeue:alice", 600, || json!({"jobs": 1}));
+        ctx.cached_resilient("squeue:alice", 600, || Ok(json!({"jobs": 1})));
         ctx.ctld.tick();
         let seq = ctx.ctld.snapshot().seq;
-        ctx.rest_cache
-            .put("jobs|alice", seq, Arc::from("{\"old\":1}"));
-        let render = Arc::new(hpcdash_http::RenderCache::new());
-        ctx.attach_render_cache(render.clone());
+        ctx.rest_cache.put(
+            &CacheDecision::versioned("jobs|alice".to_string(), seq),
+            Arc::from(&b"{\"old\":1}"[..]),
+            "application/json",
+            None,
+        );
+        let render = ctx.render_cache.clone();
         render.put(
-            &hpcdash_http::CacheDecision {
+            &CacheDecision {
                 key: "k".to_string(),
                 version: seq,
                 ttl_secs: 600,
@@ -983,6 +774,7 @@ pub(crate) mod tests {
             },
             Arc::from(&b"dead"[..]),
             "application/json",
+            None,
         );
         // Crash the controller on its next tick; down for 30 sim-seconds.
         let now = clock.now();
@@ -1010,9 +802,9 @@ pub(crate) mod tests {
         );
         assert!(render.is_empty(), "dead-epoch renders must not survive");
         let calls = Cell::new(0u32);
-        ctx.cached("squeue:alice", 600, || {
+        ctx.cached_resilient("squeue:alice", 600, || {
             calls.set(calls.get() + 1);
-            json!({"jobs": 0})
+            Ok(json!({"jobs": 0}))
         });
         assert_eq!(calls.get(), 1, "widget JSON cache was cleared");
         let restarts = ctx
@@ -1035,7 +827,7 @@ pub(crate) mod tests {
     #[test]
     fn dbd_recovery_is_observed_lazily() {
         let (ctx, clock) = test_ctx_clocked();
-        ctx.cached("sacct:alice", 600, || json!({"rows": 2}));
+        ctx.cached_resilient("sacct:alice", 600, || Ok(json!({"rows": 2})));
         let now = clock.now();
         ctx.dbd.faults().install(
             Arc::new(hpcdash_faults::FaultPlan::new(3).rule(
@@ -1057,9 +849,9 @@ pub(crate) mod tests {
         assert_eq!(ctx.dbd.restart_count(), 1);
         ctx.observe_recoveries();
         let calls = Cell::new(0u32);
-        ctx.cached("sacct:alice", 600, || {
+        ctx.cached_resilient("sacct:alice", 600, || {
             calls.set(calls.get() + 1);
-            json!({"rows": 0})
+            Ok(json!({"rows": 0}))
         });
         assert_eq!(calls.get(), 1, "widget cache cleared after dbd recovery");
         assert_eq!(

@@ -1,52 +1,86 @@
-//! The render-bytes cache: pre-serialized hot-route responses.
+//! The byte cache: pre-serialized responses keyed by view.
 //!
-//! PR 7's `RestCache` proved the pattern for `/slurm/v0`: key serialized
-//! bytes on the snapshot publication sequence and a repeat request becomes
-//! a hash lookup plus an `Arc` clone. This generalizes it to any route the
-//! router marks cacheable. An entry stores the body as `Arc<[u8]>` and a
-//! strong ETag derived from the *content* (FNV-64 of the bytes) — content-
-//! derived on purpose, so when a new epoch renders byte-identical JSON the
-//! ETag survives and `If-None-Match` still collapses to a 304. Validity is
-//! the intersection of two signals: the publisher's version (snapshot seq;
-//! mismatch = the world changed) and a TTL on the *simulation* clock that
-//! mirrors the widget cache's TTL, so the render cache can never serve
-//! longer than the data layer beneath it would have.
+//! One type serves two instances. The router's caches the rendered bytes of
+//! every route registered with [`crate::Router::get_cached`]; the
+//! `/slurm/v0` family keeps its own for serialized snapshot bodies. A
+//! repeat request becomes a hash lookup plus an `Arc` clone.
+//!
+//! Validity is the intersection of two signals: the publisher's version
+//! (snapshot seq; mismatch = the world changed) and an optional TTL on the
+//! *simulation* clock. Widget routes set a TTL that mirrors the widget
+//! cache's, so a render can never outlive the data layer beneath it;
+//! `/slurm/v0` bodies are valid for exactly one version
+//! ([`CacheDecision::versioned`]).
+//!
+//! Entries outlive their validity on purpose: [`RenderCache::last_any`] is
+//! the serve-stale fallback when a source fails, and
+//! [`RenderCache::purge_below`] drops dead epochs after a crash recovery.
+//! Memory is bounded by a constant entry count: a put of a new key into a
+//! full cache first evicts the least recently written entry. The router
+//! derives a strong ETag from the bytes it stores; other callers store
+//! none, so a large `/slurm/v0` body is never hashed.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A route's answer to "may this request be served from rendered bytes?"
-/// Produced per-request by the key function registered with the route.
+/// The most entries one cache holds. Keys name real views (route, path,
+/// identity, scopes) and never query parameters, so normal traffic stays
+/// far below it.
+pub(crate) const MAX_ENTRIES: usize = 4_096;
+
+/// A route's answer to "may this request be served from cached bytes?"
 #[derive(Debug, Clone)]
 pub struct CacheDecision {
-    /// Full identity of the rendered view: route | subject | scope
-    /// fingerprint (anything that changes the bytes must be in here).
+    /// Full identity of the view: route | subject | scope fingerprint
+    /// (anything that changes the bytes must be in here).
     pub key: String,
     /// Publisher version (cluster snapshot seq) the entry must match.
     pub version: u64,
-    /// Max age on the sim clock; `0` is handled upstream (no decision).
+    /// Max age on the sim clock; `u64::MAX` means no TTL.
     pub ttl_secs: u64,
     /// Current sim time, for the age check.
     pub now_secs: u64,
 }
 
-/// One cached render.
-#[derive(Clone)]
-pub struct CachedRender {
-    pub etag: Arc<str>,
-    pub body: Arc<[u8]>,
-    pub content_type: String,
-    version: u64,
-    born_secs: u64,
+impl CacheDecision {
+    /// A decision valid for as long as `version` is current, with no TTL.
+    pub fn versioned(key: String, version: u64) -> CacheDecision {
+        CacheDecision {
+            key,
+            version,
+            ttl_secs: u64::MAX,
+            now_secs: 0,
+        }
+    }
 }
 
-/// Render-bytes store. Entries are overwritten in place per key, so memory
-/// is bounded by the number of distinct (route, subject, scope) views.
+/// One cached body.
+#[derive(Clone)]
+pub struct CachedRender {
+    pub body: Arc<[u8]>,
+    pub content_type: String,
+    /// Strong validator the router stores with its renders; `None` for
+    /// callers that send no ETag.
+    pub etag: Option<Arc<str>>,
+    /// The publisher version the body was built from.
+    pub version: u64,
+    born_secs: u64,
+    /// Write order, for eviction.
+    written: u64,
+}
+
+#[derive(Default)]
+struct Entries {
+    map: HashMap<String, CachedRender>,
+    writes: u64,
+}
+
+/// Version-checked, TTL-aware, bounded byte store.
 #[derive(Default)]
 pub struct RenderCache {
-    entries: Mutex<HashMap<String, CachedRender>>,
+    entries: Mutex<Entries>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -60,7 +94,7 @@ impl RenderCache {
     /// publisher version *and* younger than the TTL).
     pub fn get(&self, d: &CacheDecision) -> Option<CachedRender> {
         let entries = self.entries.lock();
-        match entries.get(&d.key) {
+        match entries.map.get(&d.key) {
             Some(e)
                 if e.version == d.version
                     && d.now_secs.saturating_sub(e.born_secs) < d.ttl_secs =>
@@ -75,29 +109,55 @@ impl RenderCache {
         }
     }
 
-    /// Store freshly rendered bytes for `d.key` and return the entry
-    /// (so the very response that populated the cache can share its body).
-    pub fn put(&self, d: &CacheDecision, body: Arc<[u8]>, content_type: &str) -> CachedRender {
+    /// Store `body` for `d.key`. A new key arriving at the entry bound
+    /// evicts the least recently written entry first.
+    pub fn put(
+        &self,
+        d: &CacheDecision,
+        body: Arc<[u8]>,
+        content_type: &str,
+        etag: Option<Arc<str>>,
+    ) {
+        let mut entries = self.entries.lock();
+        entries.writes += 1;
         let entry = CachedRender {
-            etag: Arc::from(etag_for(&body).as_str()),
             body,
             content_type: content_type.to_string(),
+            etag,
             version: d.version,
             born_secs: d.now_secs,
+            written: entries.writes,
         };
-        self.entries.lock().insert(d.key.clone(), entry.clone());
-        entry
+        if entries.map.len() >= MAX_ENTRIES && !entries.map.contains_key(&d.key) {
+            let oldest = entries
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.written)
+                .map(|(k, _)| k.clone());
+            if let Some(k) = oldest {
+                entries.map.remove(&k);
+            }
+        }
+        entries.map.insert(d.key.clone(), entry);
     }
 
-    /// Drop every render built from a publisher version below `version`.
+    /// The last entry stored for `key`, whatever its version or age — the
+    /// stale fallback when the source is failing. Counts neither a hit nor
+    /// a miss.
+    pub fn last_any(&self, key: &str) -> Option<CachedRender> {
+        self.entries.lock().map.get(key).cloned()
+    }
+
+    /// Drop every entry built from a publisher version below `version`.
     /// Called after a daemon crash-recovery: pre-crash epochs are dead and
-    /// their bytes may describe rolled-back state. Returns how many entries
+    /// their bytes may describe rolled-back state, so not even
+    /// [`RenderCache::last_any`] may return them. Returns how many entries
     /// were purged.
-    pub fn purge_version_below(&self, version: u64) -> usize {
+    pub fn purge_below(&self, version: u64) -> usize {
         let mut entries = self.entries.lock();
-        let before = entries.len();
-        entries.retain(|_, e| e.version >= version);
-        before - entries.len()
+        let before = entries.map.len();
+        entries.map.retain(|_, e| e.version >= version);
+        before - entries.map.len()
     }
 
     pub fn hits(&self) -> u64 {
@@ -109,7 +169,7 @@ impl RenderCache {
     }
 
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.lock().map.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -119,13 +179,13 @@ impl RenderCache {
 
 /// Strong ETag for a body: quoted FNV-1a/64 of the content. Content-hashed
 /// (not seq-prefixed) so byte-identical renders across epochs revalidate.
-pub fn etag_for(body: &[u8]) -> String {
-    format!("\"{:016x}\"", fnv64(body))
+pub(crate) fn etag_for(body: &[u8]) -> Arc<str> {
+    Arc::from(format!("\"{:016x}\"", fnv64(body)))
 }
 
 /// FNV-1a, 64-bit — tiny, dependency-free, and plenty for cache validators
 /// (collisions only risk an extra render, never wrong bytes).
-pub fn fnv64(bytes: &[u8]) -> u64 {
+fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -147,12 +207,16 @@ mod tests {
         }
     }
 
+    fn put(cache: &RenderCache, d: &CacheDecision, body: &str) {
+        cache.put(d, Arc::from(body.as_bytes()), "application/json", None);
+    }
+
     #[test]
     fn version_and_ttl_both_gate_validity() {
         let cache = RenderCache::new();
         let decision = d("jobs|alice", 5, 100);
         assert!(cache.get(&decision).is_none());
-        cache.put(&decision, Arc::from(&b"{\"a\":1}"[..]), "application/json");
+        put(&cache, &decision, "{\"a\":1}");
 
         // Same version, inside TTL: hit.
         let hit = cache.get(&d("jobs|alice", 5, 129)).unwrap();
@@ -170,27 +234,90 @@ mod tests {
     #[test]
     fn purge_drops_dead_epoch_renders() {
         let cache = RenderCache::new();
-        cache.put(&d("old", 5, 0), Arc::from(&b"dead"[..]), "text/plain");
-        cache.put(&d("new", 9, 0), Arc::from(&b"live"[..]), "text/plain");
-        assert_eq!(cache.purge_version_below(9), 1);
+        put(&cache, &d("old", 5, 0), "dead");
+        put(&cache, &d("new", 9, 0), "live");
+        assert_eq!(cache.purge_below(9), 1);
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&d("new", 9, 10)).is_some());
     }
 
     #[test]
     fn etags_are_content_derived() {
-        let cache = RenderCache::new();
-        let v5 = cache.put(&d("k", 5, 0), Arc::from(&b"same-bytes"[..]), "text/plain");
-        let v6 = cache.put(&d("k", 6, 40), Arc::from(&b"same-bytes"[..]), "text/plain");
         assert_eq!(
-            v5.etag, v6.etag,
+            etag_for(b"same-bytes"),
+            etag_for(b"same-bytes"),
             "identical bytes across epochs keep the ETag (cross-epoch 304s)"
         );
-        let other = cache.put(&d("k", 7, 80), Arc::from(&b"other"[..]), "text/plain");
-        assert_ne!(v5.etag, other.etag);
+        assert_ne!(etag_for(b"same-bytes"), etag_for(b"other"));
+        let etag = etag_for(b"same-bytes");
         assert!(
-            v5.etag.starts_with('"') && v5.etag.ends_with('"'),
+            etag.starts_with('"') && etag.ends_with('"'),
             "strong quoted ETag"
         );
+    }
+
+    #[test]
+    fn versioned_decisions_have_no_ttl_and_keep_a_stale_fallback() {
+        let cache = RenderCache::new();
+        let v1 = CacheDecision::versioned("jobs|alice".to_string(), 1);
+        assert!(cache.get(&v1).is_none());
+        put(&cache, &v1, "{\"v\":1}");
+        assert_eq!(&*cache.get(&v1).unwrap().body, b"{\"v\":1}");
+        // New epoch: miss, but the old body is still reachable as stale.
+        let v2 = CacheDecision::versioned("jobs|alice".to_string(), 2);
+        assert!(cache.get(&v2).is_none());
+        let stale = cache.last_any("jobs|alice").unwrap();
+        assert_eq!((stale.version, &*stale.body), (1, &b"{\"v\":1}"[..]));
+        assert!(stale.etag.is_none(), "no ETag was computed for it");
+        put(&cache, &v2, "{\"v\":2}");
+        assert_eq!(&*cache.get(&v2).unwrap().body, b"{\"v\":2}");
+        assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.misses(), 2);
+    }
+
+    #[test]
+    fn purge_below_kills_dead_epochs_even_for_stale_fallback() {
+        let cache = RenderCache::new();
+        put(
+            &cache,
+            &CacheDecision::versioned("jobs|alice".into(), 3),
+            "{}",
+        );
+        put(
+            &cache,
+            &CacheDecision::versioned("nodes|root".into(), 7),
+            "{}",
+        );
+        // Crash recovery republished at epoch 7: everything older is from a
+        // dead epoch and may describe rolled-back state.
+        assert_eq!(cache.purge_below(7), 1);
+        assert!(
+            cache.last_any("jobs|alice").is_none(),
+            "dead-epoch bytes must not survive as a stale fallback"
+        );
+        assert!(cache.last_any("nodes|root").is_some());
+    }
+
+    #[test]
+    fn bound_evicts_the_least_recently_written_entry() {
+        let cache = RenderCache::new();
+        for i in 0..MAX_ENTRIES {
+            put(&cache, &d(&format!("k{i}"), 1, 0), "x");
+        }
+        assert_eq!(cache.len(), MAX_ENTRIES);
+        // Rewriting the oldest key refreshes it without evicting anything.
+        put(&cache, &d("k0", 2, 0), "x");
+        assert_eq!(cache.len(), MAX_ENTRIES);
+        for i in 0..100 {
+            put(&cache, &d(&format!("new{i}"), 1, 0), "x");
+            assert_eq!(cache.len(), MAX_ENTRIES, "the bound holds");
+        }
+        // The 100 least recently written keys went, in write order: k1..k100.
+        for i in 1..=100 {
+            assert!(cache.last_any(&format!("k{i}")).is_none(), "k{i} evicted");
+        }
+        assert!(cache.last_any("k101").is_some());
+        assert!(cache.last_any("k0").is_some(), "rewritten key survived");
+        assert!(cache.last_any("new99").is_some());
     }
 }

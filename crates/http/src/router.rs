@@ -1,7 +1,7 @@
 //! Path routing with `:param` captures, panic isolation, and per-route
 //! observability (trace propagation + request metrics).
 
-use crate::cache::{CacheDecision, RenderCache};
+use crate::cache::{etag_for, CacheDecision, RenderCache};
 use crate::request::{Method, Request};
 use crate::response::Response;
 use hpcdash_obs::trace::{Span, TraceId, TraceScope};
@@ -157,6 +157,11 @@ impl Router {
     /// `keyfn` decides admission per request; on a valid hit the handler
     /// never runs and `If-None-Match` revalidation answers 304 with zero
     /// serialization.
+    ///
+    /// The handler must not read query parameters: the bytes of one key
+    /// are served to every request that maps to it, so anything that
+    /// changes them must be in the key, and a key built from arbitrary
+    /// query strings would let one client fill the cache.
     pub fn get_cached(
         &mut self,
         pattern: &str,
@@ -177,6 +182,12 @@ impl Router {
     /// The render-bytes cache (benches assert its hit/miss economics).
     pub fn render_cache(&self) -> &Arc<RenderCache> {
         &self.render_cache
+    }
+
+    /// Serve cached renders from `cache` (one its owner can also purge)
+    /// instead of the router's private one.
+    pub fn set_render_cache(&mut self, cache: Arc<RenderCache>) {
+        self.render_cache = cache;
     }
 
     /// Registered `(method, pattern)` pairs, for the Table-1 harness.
@@ -285,12 +296,13 @@ impl Router {
         };
         let inm = req.header("if-none-match");
         if let Some(entry) = self.render_cache.get(&d) {
-            if inm_matches(inm, &entry.etag) {
-                return Response::not_modified(&entry.etag);
+            let etag = entry.etag.unwrap_or_else(|| etag_for(&entry.body));
+            if inm_matches(inm, &etag) {
+                return Response::not_modified(&etag);
             }
             return Response::new(200)
                 .with_header("Content-Type", &entry.content_type)
-                .with_header("ETag", &entry.etag)
+                .with_header("ETag", &etag)
                 .with_body(entry.body);
         }
         let resp = self.invoke(route, req);
@@ -298,17 +310,15 @@ impl Router {
         // Degraded/stale payloads keep flowing uncached so their honesty
         // banners and ages stay per-request.
         if resp.status == 200 && resp.cacheable {
-            let content_type = resp
-                .header("content-type")
-                .unwrap_or("application/json")
-                .to_string();
-            let entry = self
-                .render_cache
-                .put(&d, resp.body.to_shared(), &content_type);
-            if inm_matches(inm, &entry.etag) {
-                return Response::not_modified(&entry.etag);
+            let content_type = resp.header("content-type").unwrap_or("application/json");
+            let body = resp.body.to_shared();
+            let etag = etag_for(&body);
+            self.render_cache
+                .put(&d, body.clone(), content_type, Some(etag.clone()));
+            if inm_matches(inm, &etag) {
+                return Response::not_modified(&etag);
             }
-            return resp.with_header("ETag", &entry.etag).with_body(entry.body);
+            return resp.with_header("ETag", &etag).with_body(body);
         }
         resp
     }

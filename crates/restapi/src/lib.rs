@@ -15,9 +15,7 @@
 //!   `hpcdash_api_token_*` audit metrics.
 //! * [`serialize`] — JSON bodies built straight from snapshot structs:
 //!   zero text render, zero parse.
-//! * [`view`] — scope → snapshot-index resolution plus the seq-keyed
-//!   response-bytes cache that makes the steady-state request two atomic
-//!   loads, a hash lookup, and a memcpy.
+//! * [`view`] — scope → snapshot-index resolution.
 //!
 //! The crate deliberately knows nothing about HTTP or the dashboard
 //! context; `crates/core`'s `api::slurmrest` wires these pieces into the
@@ -30,4 +28,4 @@ pub mod view;
 
 pub use scope::{Scope, ScopeSet};
 pub use token::{AuthError, AuthedToken, MintedToken, TokenInfo, TokenStore};
-pub use view::{visible_job_positions, RestCache};
+pub use view::visible_job_positions;

@@ -1,20 +1,16 @@
-//! Scope → snapshot-index resolution, and the seq-keyed response cache.
+//! Scope → snapshot-index resolution.
 //!
 //! The hot path promises zero text render, zero parse, and zero state-mutex
 //! acquisitions. [`visible_job_positions`] delivers the first two by
 //! unioning the snapshot's precomputed per-user / per-account /
-//! per-partition indexes; [`RestCache`] makes the steady state cheaper
-//! still by keying serialized response bytes on the snapshot's publication
-//! sequence — until the cluster publishes a new epoch, a repeat request is
-//! a hash lookup and an `Arc` clone (this is the caching the Palmetto paper
-//! layers over its Slurm REST API).
+//! per-partition indexes. The serialized bodies are cached by the caller,
+//! keyed on the view and the snapshot's publication sequence (`crates/core`
+//! keeps them in an `hpcdash_http::RenderCache`; this is the caching the
+//! Palmetto paper layers over its Slurm REST API).
 
 use crate::scope::ScopeSet;
 use hpcdash_slurm::snapshot::ClusterSnapshot;
-use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
 /// The job positions (into `snap.jobs`) these scopes may see, ascending.
 /// `None` means the scopes grant no job visibility at all — the caller
@@ -49,80 +45,6 @@ pub fn visible_job_positions(
     Some(positions.into_iter().collect())
 }
 
-struct Entry {
-    seq: u64,
-    body: Arc<str>,
-}
-
-/// Response bytes keyed on `(endpoint view, snapshot seq)`. A new epoch
-/// invalidates implicitly — the seq comparison fails and the caller
-/// re-serializes. Old bodies are kept (overwritten in place) so a fault on
-/// the source can still serve the last-known-good bytes, mirroring the
-/// widget path's serve-stale contract.
-#[derive(Default)]
-pub struct RestCache {
-    entries: Mutex<HashMap<String, Entry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl RestCache {
-    pub fn new() -> RestCache {
-        RestCache::default()
-    }
-
-    /// The cached body for `key` if it was built from snapshot `seq`.
-    pub fn get(&self, key: &str, seq: u64) -> Option<Arc<str>> {
-        let entries = self.entries.lock();
-        match entries.get(key) {
-            Some(e) if e.seq == seq => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.body.clone())
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Store the freshly serialized body for `key` at `seq`.
-    pub fn put(&self, key: &str, seq: u64, body: Arc<str>) {
-        self.entries
-            .lock()
-            .insert(key.to_string(), Entry { seq, body });
-    }
-
-    /// The last body stored for `key`, however old — the stale fallback
-    /// when the source is fault-injected down.
-    pub fn last_any(&self, key: &str) -> Option<(u64, Arc<str>)> {
-        self.entries
-            .lock()
-            .get(key)
-            .map(|e| (e.seq, e.body.clone()))
-    }
-
-    /// Drop every entry built from a snapshot seq below `seq`. Called after
-    /// a daemon crash-recovery: pre-crash epochs are dead — their bytes may
-    /// describe state the recovery rolled back, so even the serve-stale
-    /// fallback (`last_any`) must not return them. Returns how many entries
-    /// were purged.
-    pub fn purge_below(&self, seq: u64) -> usize {
-        let mut entries = self.entries.lock();
-        let before = entries.len();
-        entries.retain(|_, e| e.seq >= seq);
-        before - entries.len()
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,6 +53,7 @@ mod tests {
     use hpcdash_slurm::job::{Job, JobId, JobRequest, JobState};
     use hpcdash_slurm::node::Node;
     use hpcdash_slurm::partition::Partition;
+    use std::sync::Arc;
 
     fn job(id: u32, user: &str, account: &str, partition: &str) -> Arc<Job> {
         let mut req = JobRequest::simple(user, account, partition, 1);
@@ -212,36 +135,5 @@ mod tests {
             visible_job_positions(&s, &set([Scope::ReadOwnJobs]), "mallory"),
             Some(vec![])
         );
-    }
-
-    #[test]
-    fn cache_is_seq_keyed_with_stale_fallback() {
-        let cache = RestCache::new();
-        assert!(cache.get("jobs|alice", 1).is_none());
-        cache.put("jobs|alice", 1, Arc::from("{\"v\":1}"));
-        assert_eq!(cache.get("jobs|alice", 1).unwrap().as_ref(), "{\"v\":1}");
-        // New epoch: miss, but the old body is still reachable as stale.
-        assert!(cache.get("jobs|alice", 2).is_none());
-        let (seq, body) = cache.last_any("jobs|alice").unwrap();
-        assert_eq!((seq, body.as_ref()), (1, "{\"v\":1}"));
-        cache.put("jobs|alice", 2, Arc::from("{\"v\":2}"));
-        assert_eq!(cache.get("jobs|alice", 2).unwrap().as_ref(), "{\"v\":2}");
-        assert_eq!(cache.hits(), 2);
-        assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
-    fn purge_below_kills_dead_epochs_even_for_stale_fallback() {
-        let cache = RestCache::new();
-        cache.put("jobs|alice", 3, Arc::from("{\"dead\":true}"));
-        cache.put("nodes|root", 7, Arc::from("{\"live\":true}"));
-        // Crash recovery republished at epoch 7: everything older is from a
-        // dead epoch and may describe rolled-back state.
-        assert_eq!(cache.purge_below(7), 1);
-        assert!(
-            cache.last_any("jobs|alice").is_none(),
-            "dead-epoch bytes must not survive as a stale fallback"
-        );
-        assert!(cache.last_any("nodes|root").is_some());
     }
 }
