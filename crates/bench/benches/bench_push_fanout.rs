@@ -2,13 +2,15 @@
 //! their job tables live.
 //!
 //! Legacy polling pays per *request*: every `/api/updates` poll scans the
-//! event log and re-resolves the viewer's account set through slurmctld, so
-//! N tabs × R refresh rounds cost N·R scans + N·R assoc RPCs whether or not
+//! event log, so N tabs × R refresh rounds cost N·R scans whether or not
 //! anything changed. The push hub pays per *event* and per *subscriber*:
-//! one log scan + one assoc resolution at subscribe time, then delivery out
-//! of pre-filtered in-memory queues. Equivalent freshness (every tab sees
-//! every round's deltas) with daemon traffic that no longer scales with the
-//! product of tabs and refresh rate.
+//! one log scan at subscribe time, then delivery out of pre-filtered
+//! in-memory queues. Both modes read the viewer's accounts from the
+//! dashboard's shared membership table, which costs one `scontrol show
+//! assoc` per `cache.accounts` window for the whole fleet, so assoc RPCs
+//! no longer differ between the modes. Equivalent freshness (every tab
+//! sees every round's deltas) with daemon traffic that no longer scales
+//! with the product of tabs and refresh rate.
 
 use criterion::Criterion;
 use hpcdash_bench::{banner, BenchSite};
@@ -147,17 +149,19 @@ fn main() {
         push.delivered,
         poll.delivered
     );
-    println!("\nshape: polling costs {SUBSCRIBERS} log scans + {SUBSCRIBERS} assoc RPCs per round");
-    println!("(N*R total); push pays one scan + one assoc per *subscriber* at registration");
-    println!("and delivers every later round out of pre-filtered in-memory queues.");
+    println!("\nshape: polling costs {SUBSCRIBERS} log scans per round (N*R total); push pays");
+    println!("one scan per *subscriber* at registration and delivers every later round out");
+    println!("of pre-filtered in-memory queues. Assoc RPCs come from the shared membership");
+    println!("table: one per cache.accounts window, in either mode.");
 
     // Criterion: the marginal costs the modes multiply — one fan-out publish
     // into 500 queues (with amortized drains) vs one empty stream drain.
     let mut cbench = Criterion::default().configure_from_args().sample_size(30);
     {
+        let physics: Arc<[String]> = Arc::from(vec!["physics".to_string()]);
         let hub = Arc::new(Hub::new(
             HubConfig::default(),
-            Arc::new(|_: &str| vec!["physics".to_string()]),
+            Arc::new(move |_: &str| physics.clone()),
         ));
         let handles: Vec<_> = (0..SUBSCRIBERS)
             .map(|i| hub.ensure(&format!("u{i}:tab"), &format!("u{i}"), false).0)

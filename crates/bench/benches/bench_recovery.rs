@@ -28,6 +28,11 @@ use hpcdash_workload::ScenarioConfig;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Absolute gates: the recorded rebuild (0.6–1.0 ms) and checkpoint
+/// (0.27–0.37 ms) on a 2-vCPU host, with about 50x headroom for slow hosts.
+const REBUILD_LIMIT_MICROS: u64 = 50_000;
+const CHECKPOINT_LIMIT_MICROS: u64 = 25_000;
+
 const DOWN_SECS: u64 = 300;
 const ROUND_SECS: u64 = 61;
 
@@ -148,15 +153,15 @@ fn main() {
         "recovery must republish at a strictly newer epoch"
     );
     assert!(
-        report.duration_micros < 500_000,
-        "state rebuild took {}µs; replaying checkpoint+WAL must stay well \
-         under a second",
+        report.duration_micros < REBUILD_LIMIT_MICROS,
+        "state rebuild took {}µs; replaying checkpoint+WAL must stay under \
+         {REBUILD_LIMIT_MICROS}µs",
         report.duration_micros
     );
     assert!(
-        cp_micros < 250_000,
+        cp_micros < CHECKPOINT_LIMIT_MICROS,
         "checkpoint took {cp_micros}µs; it runs on the tick path and must \
-         hide inside a scheduling pass"
+         stay under {CHECKPOINT_LIMIT_MICROS}µs to hide inside a scheduling pass"
     );
     println!("\nok: 100% widget availability through the crash; fresh within one round of restart");
 }

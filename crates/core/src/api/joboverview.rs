@@ -43,22 +43,23 @@ pub fn register(router: &mut Router, ctx: DashboardContext) {
 }
 
 /// Resolve a display id (`1234` or `1234_7`) to a job record, looking in
-/// live state first, then accounting.
-fn resolve_job(ctx: &DashboardContext, display_id: &str) -> Option<Job> {
+/// live state first, then accounting. Sources are noted under `feature`,
+/// the route asking (Job Overview or Job Telemetry).
+pub(crate) fn resolve_job(ctx: &DashboardContext, feature: &str, display_id: &str) -> Option<Job> {
     match display_id.split_once('_') {
         None => {
             let id = JobId(display_id.parse().ok()?);
-            ctx.note_source(FEATURE, "scontrol show job (slurmctld)");
+            ctx.note_source(feature, "scontrol show job (slurmctld)");
             if let Some(job) = ctx.ctld.query_job(id) {
                 return Some(Job::clone(&job));
             }
-            ctx.note_source(FEATURE, "sacct (slurmdbd)");
+            ctx.note_source(feature, "sacct (slurmdbd)");
             ctx.dbd.job(id)
         }
         Some((array_id, task)) => {
             let array_job_id = JobId(array_id.parse().ok()?);
             let task_id: u32 = task.parse().ok()?;
-            ctx.note_source(FEATURE, "sacct (slurmdbd)");
+            ctx.note_source(feature, "sacct (slurmdbd)");
             ctx.dbd
                 .array_tasks(array_job_id)
                 .into_iter()
@@ -72,7 +73,7 @@ fn authorize(ctx: &DashboardContext, req: &Request) -> Result<(CurrentUser, Job)
     let Some(id) = req.param("id") else {
         return Err(Response::bad_request("missing job id"));
     };
-    let Some(job) = resolve_job(ctx, id) else {
+    let Some(job) = resolve_job(ctx, FEATURE, id) else {
         return Err(Response::not_found(&format!("job {id} not found")));
     };
     if !user.may_view_job_of(&job.req.user, &job.req.account, ctx) {

@@ -13,7 +13,7 @@ use crate::auth::CurrentUser;
 use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response, Router};
 use hpcdash_slurm::ctld::JobQuery;
-use hpcdash_slurm::job::{Job, JobId, JobState};
+use hpcdash_slurm::job::{Job, JobState};
 use hpcdash_telemetry::keys;
 use serde_json::{json, Value};
 
@@ -21,6 +21,7 @@ pub const FEATURE: &str = "Job Telemetry";
 pub const ROUTES: &[&str] = &["/api/jobtelemetry", "/api/jobs/:id/telemetry"];
 pub const SOURCES: &[&str] = &[
     "squeue (slurmctld)",
+    "scontrol show job (slurmctld)",
     "sacct (slurmdbd)",
     "telemetryd (metrics collector)",
 ];
@@ -160,31 +161,6 @@ fn handle_live(ctx: &DashboardContext, req: &Request) -> Response {
     super::respond(outcome)
 }
 
-/// Resolve a display id like the Job Overview route does, but noting the
-/// sources under this feature.
-fn resolve_job(ctx: &DashboardContext, display_id: &str) -> Option<Job> {
-    match display_id.split_once('_') {
-        None => {
-            let id = JobId(display_id.parse().ok()?);
-            ctx.note_source(FEATURE, "squeue (slurmctld)");
-            if let Some(job) = ctx.ctld.query_job(id) {
-                return Some(Job::clone(&job));
-            }
-            ctx.note_source(FEATURE, "sacct (slurmdbd)");
-            ctx.dbd.job(id)
-        }
-        Some((array_id, task)) => {
-            let array_job_id = JobId(array_id.parse().ok()?);
-            let task_id: u32 = task.parse().ok()?;
-            ctx.note_source(FEATURE, "sacct (slurmdbd)");
-            ctx.dbd
-                .array_tasks(array_job_id)
-                .into_iter()
-                .find(|j| j.array.map(|a| a.task_id) == Some(task_id))
-        }
-    }
-}
-
 fn handle_job(ctx: &DashboardContext, req: &Request) -> Response {
     let user = match CurrentUser::from_request(ctx, req) {
         Ok(u) => u,
@@ -193,7 +169,7 @@ fn handle_job(ctx: &DashboardContext, req: &Request) -> Response {
     let Some(id) = req.param("id") else {
         return Response::bad_request("missing job id");
     };
-    let Some(job) = resolve_job(ctx, id) else {
+    let Some(job) = super::joboverview::resolve_job(ctx, FEATURE, id) else {
         return Response::not_found(&format!("job {id} not found"));
     };
     if !user.may_view_job_of(&job.req.user, &job.req.account, ctx) {

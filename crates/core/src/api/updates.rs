@@ -1,13 +1,13 @@
 //! Real-time job monitoring (paper §9 future work, implemented): an
 //! incremental updates feed with two delivery modes.
 //!
-//! - **Legacy poll** — `/api/updates?since=<seq>` scans the event log and
-//!   re-resolves the viewer's account set on every request. Simple, but N
-//!   pollers cost N scans + N assoc RPCs per refresh interval.
+//! - **Legacy poll** — `/api/updates?since=<seq>` scans the event log on
+//!   every request. Simple, but N pollers cost N scans per refresh
+//!   interval.
 //! - **Push stream** — `/api/updates/stream?sub=<token>&since=<seq>&wait_ms=<ms>`
 //!   long-polls a per-subscriber queue fed by the push hub. The daemons are
-//!   touched once per event (at publish) and once per subscriber (at
-//!   subscribe + account-TTL refresh), not once per poll.
+//!   touched once per event (at publish) and once per subscriber (the
+//!   subscribe-time backfill), not once per poll.
 //!
 //! # Cursor semantics (intentional)
 //!
@@ -128,6 +128,9 @@ fn handle_stream(ctx: &DashboardContext, req: &Request) -> Response {
     // Subscriber keys are scoped per-user: one user's token can never attach
     // to another user's pre-filtered queue.
     let key = format!("{}:{}", user.username, token);
+    // The hub reads the membership table, which a controller recovery
+    // must reload first.
+    ctx.observe_recoveries();
     let (handle, created) = ctx.push.ensure(&key, &user.username, user.is_admin);
     let log = ctx.ctld.events();
     if created {

@@ -13,21 +13,28 @@
 //! [`CurrentUser::may_view_job_of`] just evaluates that profile. A token
 //! can never see more than the widget routes would show its subject,
 //! because both answer through one predicate.
+//!
+//! Which accounts a viewer belongs to comes from one shared [`Membership`]
+//! table on the context, not from a `scontrol show assoc` per request.
 
 use crate::ctx::DashboardContext;
 use hpcdash_http::{Request, Response};
 use hpcdash_restapi::ScopeSet;
-use std::sync::OnceLock;
+use hpcdash_simtime::{SharedClock, Timestamp};
+use hpcdash_slurm::ctld::Slurmctld;
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// The authenticated viewer.
 #[derive(Debug, Clone)]
 pub struct CurrentUser {
     pub username: String,
     pub is_admin: bool,
-    /// Association lookup memoized for the life of this request — satellite
-    /// routes call `visible_accounts` several times while building one
-    /// response, and each call used to re-query slurmctld.
-    accounts: OnceLock<Vec<String>>,
+    /// This viewer's row of the membership table, looked up once per
+    /// request — satellite routes call `visible_accounts` several times
+    /// while building one response.
+    accounts: OnceLock<Arc<[String]>>,
 }
 
 impl PartialEq for CurrentUser {
@@ -69,15 +76,14 @@ impl CurrentUser {
         Ok(CurrentUser::new(username, is_admin))
     }
 
-    /// The accounts this user may see (their own allocations). Resolved
-    /// against slurmctld once per request, then reused.
+    /// The accounts this user may see (their own allocations), from the
+    /// context's shared [`Membership`] table.
     pub fn visible_accounts(&self, ctx: &DashboardContext) -> &[String] {
         self.accounts.get_or_init(|| {
-            ctx.ctld
-                .query_assoc(Some(&self.username))
-                .into_iter()
-                .map(|r| r.account.name)
-                .collect()
+            // A controller recovery must reload the table before anyone
+            // reads it again; the check is two atomic loads.
+            ctx.observe_recoveries();
+            ctx.membership.accounts_of(&self.username)
         })
     }
 
@@ -102,6 +108,113 @@ impl CurrentUser {
     }
 }
 
+/// Every user's accounts, in `query_assoc(Some(user))` order, from one
+/// cluster-wide association query.
+///
+/// The privacy filter ("the user, or allocations the user is part of")
+/// runs on nearly every request, and so does the push hub's subscriber
+/// filter; both read this table. It is rebuilt by inverting one
+/// `query_assoc(None)` when it is older than `cache.accounts` in sim time,
+/// or after a controller crash recovery ([`Membership::invalidate`]).
+/// Only users named in the association table have a row, so a user with no
+/// accounts — or any number of `X-Act-As` targets — gets the empty set
+/// without an RPC and without growing it.
+pub struct Membership {
+    ctld: Arc<Slurmctld>,
+    clock: SharedClock,
+    ttl_secs: u64,
+    current: Mutex<Option<Arc<MembershipTable>>>,
+    /// Held while rebuilding, so requests that find the table stale at the
+    /// same moment wait for one rebuild instead of each querying the
+    /// controller.
+    rebuild: Mutex<()>,
+}
+
+struct MembershipTable {
+    loaded_at: Timestamp,
+    by_user: HashMap<String, Arc<[String]>>,
+    none: Arc<[String]>,
+}
+
+impl Membership {
+    pub fn new(ctld: Arc<Slurmctld>, clock: SharedClock, ttl_secs: u64) -> Membership {
+        Membership {
+            ctld,
+            clock,
+            ttl_secs,
+            current: Mutex::new(None),
+            rebuild: Mutex::new(()),
+        }
+    }
+
+    /// `user`'s accounts. The same `Arc` comes back until the table is
+    /// rebuilt, so a caller can tell a changed answer by pointer.
+    pub fn accounts_of(&self, user: &str) -> Arc<[String]> {
+        let table = self.table();
+        table.by_user.get(user).unwrap_or(&table.none).clone()
+    }
+
+    /// Drop the table; the next lookup rebuilds it. Waits for a rebuild in
+    /// progress, so no table loaded before the call survives it.
+    pub fn invalidate(&self) {
+        let _rebuild = self.rebuild.lock();
+        *self.current.lock() = None;
+    }
+
+    /// Users with a row in the current table (0 before the first lookup).
+    pub fn len(&self) -> usize {
+        self.current.lock().as_ref().map_or(0, |t| t.by_user.len())
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn table(&self) -> Arc<MembershipTable> {
+        if let Some(table) = self.fresh() {
+            return table;
+        }
+        let _rebuild = self.rebuild.lock();
+        // Whoever held the lock before us may have rebuilt it already.
+        if let Some(table) = self.fresh() {
+            return table;
+        }
+        let table = Arc::new(self.load());
+        *self.current.lock() = Some(table.clone());
+        table
+    }
+
+    fn fresh(&self) -> Option<Arc<MembershipTable>> {
+        let now = self.clock.now();
+        self.current
+            .lock()
+            .as_ref()
+            .filter(|t| now.0.saturating_sub(t.loaded_at.0) < self.ttl_secs)
+            .cloned()
+    }
+
+    fn load(&self) -> MembershipTable {
+        let loaded_at = self.clock.now();
+        let mut by_user: HashMap<String, Vec<String>> = HashMap::new();
+        for record in self.ctld.query_assoc(None) {
+            for member in record.members {
+                by_user
+                    .entry(member)
+                    .or_default()
+                    .push(record.account.name.clone());
+            }
+        }
+        MembershipTable {
+            loaded_at,
+            by_user: by_user
+                .into_iter()
+                .map(|(user, accounts)| (user, Arc::from(accounts)))
+                .collect(),
+            none: Arc::from(Vec::new()),
+        }
+    }
+}
+
 /// Audit an admin viewing as somebody else, wherever the switch came from
 /// (the `X-Act-As` header or an `admin-act-as` token scope). Surfaced on
 /// `/observatory`.
@@ -117,8 +230,10 @@ pub(crate) fn note_act_as(ctx: &DashboardContext, admin: &str, target: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::tests::test_ctx;
+    use crate::ctx::tests::{test_ctx, test_ctx_clocked};
     use hpcdash_http::Method;
+    use hpcdash_simtime::Clock;
+    use hpcdash_slurm::job::JobRequest;
 
     #[test]
     fn requires_remote_user() {
@@ -206,15 +321,74 @@ mod tests {
     }
 
     #[test]
-    fn visible_accounts_resolve_once_per_request() {
-        let ctx = test_ctx();
+    fn visible_accounts_resolve_once_per_accounts_window() {
+        let (ctx, clock) = test_ctx_clocked();
+        let assoc_rpcs = || ctx.ctld.stats().count_of("scontrol_assoc");
+        let before = assoc_rpcs();
         let alice = CurrentUser::new("alice", false);
-        let before = ctx.ctld.stats().count_of("scontrol_assoc");
         alice.visible_accounts(&ctx);
         alice.may_view_job_of("bob", "physics", &ctx);
         alice.may_view_job_of("carol", "chem", &ctx);
-        let after = ctx.ctld.stats().count_of("scontrol_assoc");
-        assert_eq!(after - before, 1, "one association query per request");
+        assert_eq!(assoc_rpcs() - before, 1, "one association query");
+
+        // Three users over the four membership-reading job and update
+        // routes: the whole burst shares that one query.
+        let id = ctx
+            .ctld
+            .submit(JobRequest::simple("alice", "physics", "cpu", 2))
+            .unwrap()[0];
+        ctx.ctld.tick();
+        let dash = crate::app::Dashboard::new(ctx.clone());
+        let paths = [
+            format!("/api/jobs/{id}"),
+            format!("/api/jobs/{id}/telemetry"),
+            "/api/updates".to_string(),
+            "/api/updates/stream?sub=tab".to_string(),
+        ];
+        let burst = || {
+            for _ in 0..5 {
+                for user in ["alice", "bob", "mallory"] {
+                    for path in &paths {
+                        let req =
+                            Request::new(Method::Get, path).with_header("X-Remote-User", user);
+                        let status = dash.handle(&req).status;
+                        assert!(status == 200 || status == 403, "{path} as {user}: {status}");
+                    }
+                }
+            }
+        };
+        burst();
+        assert_eq!(assoc_rpcs() - before, 1, "60 requests, one query");
+        // Once `cache.accounts` has passed in sim time the table is rebuilt,
+        // once.
+        clock.advance(ctx.cfg.cache.accounts);
+        burst();
+        assert_eq!(assoc_rpcs() - before, 2, "one more query per window");
+    }
+
+    #[test]
+    fn controller_recovery_rebuilds_the_table() {
+        let (ctx, clock) = test_ctx_clocked();
+        let alice = ctx.membership.accounts_of("alice");
+        assert!(Arc::ptr_eq(&alice, &ctx.membership.accounts_of("alice")));
+        let now = clock.now();
+        ctx.ctld.faults().install(
+            Arc::new(hpcdash_faults::FaultPlan::new(7).rule(
+                hpcdash_faults::FaultRule::crash("slurmctld", 30).during(now, Timestamp(now.0 + 1)),
+            )),
+            clock.shared(),
+        );
+        ctx.ctld.tick();
+        clock.advance(31);
+        ctx.ctld.tick();
+        assert_eq!(ctx.ctld.restart_count(), 1);
+        let before = ctx.ctld.stats().count_of("scontrol_assoc");
+        // Well inside the accounts window, the first lookup after the
+        // recovery reloads the table.
+        let viewer = CurrentUser::new("alice", false);
+        assert_eq!(viewer.visible_accounts(&ctx), ["physics".to_string()]);
+        assert_eq!(ctx.ctld.stats().count_of("scontrol_assoc") - before, 1);
+        assert!(!Arc::ptr_eq(&alice, &ctx.membership.accounts_of("alice")));
     }
 
     #[test]

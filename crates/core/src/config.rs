@@ -11,6 +11,8 @@ pub struct CachePolicy {
     pub announcements: u64,
     pub recent_jobs: u64,
     pub system_status: u64,
+    /// The accounts widget, and the age at which the shared membership
+    /// table (who belongs to which account) is rebuilt.
     pub accounts: u64,
     pub storage: u64,
     pub myjobs: u64,
@@ -87,8 +89,6 @@ impl CachePolicy {
 pub struct PushPolicy {
     /// Bounded per-subscriber queue length before coalesce-to-resync.
     pub queue_capacity: usize,
-    /// How long (seconds) a subscriber's resolved account set stays trusted.
-    pub accounts_ttl_secs: u64,
     /// Subscribers idle longer than this (seconds) are garbage-collected.
     pub idle_ttl_secs: u64,
     /// Upper bound on a single long-poll wait; client `wait_ms` is clamped.
@@ -102,7 +102,6 @@ impl Default for PushPolicy {
     fn default() -> PushPolicy {
         PushPolicy {
             queue_capacity: 256,
-            accounts_ttl_secs: 60,
             idle_ttl_secs: 300,
             max_wait_ms: 20_000,
             max_parked_workers: 64,

@@ -1,6 +1,7 @@
 //! The dashboard's shared context: daemons, services, server cache, and the
 //! data-source probe used to regenerate the paper's Table 1.
 
+use crate::auth::Membership;
 use crate::config::DashboardConfig;
 use hpcdash_cache::{BreakerBoard, BreakerConfig, CachedFetcher, GraceOutcome};
 use hpcdash_federation::ClusterRegistry;
@@ -38,6 +39,9 @@ pub struct DashboardContext {
     pub obs: Arc<Registry>,
     /// Per-data-source health derived from loader outcomes (`/api/health`).
     pub health: Arc<HealthBoard>,
+    /// Who belongs to which account: the one membership lookup behind the
+    /// privacy filter and the push hub's subscriber filter.
+    pub membership: Arc<Membership>,
     /// The real-time fan-out hub: registered as an event sink on the
     /// cluster's `EventLog`, drained by `/api/updates/stream`.
     pub push: Arc<Hub>,
@@ -154,21 +158,20 @@ impl DashboardContext {
         // registry's latency histograms (last context built wins — fine:
         // tests build isolated contexts and never assert cross-context).
         hpcdash_obs::tracestore::store().set_registry(&obs);
-        // The resolver reaches into slurmctld (daemon lock); the hub promises
-        // never to call it from the fan-out path, which runs under that lock.
+        let membership = Arc::new(Membership::new(
+            ctld.clone(),
+            clock.clone(),
+            cfg.cache.accounts,
+        ));
+        // A rebuild queries slurmctld; the hub promises never to call the
+        // resolver from the fan-out path, which runs under the daemon lock.
         let resolver: AccountResolver = {
-            let ctld = ctld.clone();
-            Arc::new(move |user: &str| {
-                ctld.query_assoc(Some(user))
-                    .into_iter()
-                    .map(|r| r.account.name)
-                    .collect()
-            })
+            let membership = membership.clone();
+            Arc::new(move |user: &str| membership.accounts_of(user))
         };
         let push = Arc::new(Hub::new(
             HubConfig {
                 queue_capacity: cfg.push.queue_capacity,
-                accounts_ttl: std::time::Duration::from_secs(cfg.push.accounts_ttl_secs),
                 idle_ttl: std::time::Duration::from_secs(cfg.push.idle_ttl_secs),
                 ..HubConfig::default()
             },
@@ -203,6 +206,7 @@ impl DashboardContext {
             telemetry,
             obs,
             health: Arc::new(HealthBoard::new()),
+            membership,
             push,
             park,
             breakers,
@@ -255,6 +259,8 @@ impl DashboardContext {
     /// * the widget JSON cache — it has no epoch tags, so the honest move
     ///   is to clear it and let loaders refill from live post-recovery
     ///   state;
+    /// * the membership table (controller recoveries only), so the next
+    ///   privacy check reads the recovered association table;
     /// * `hpcdash_daemon_restarts_total{daemon}` and the last-recovery
     ///   duration gauge, so operators see the crash happened and what it
     ///   cost.
@@ -299,6 +305,9 @@ impl DashboardContext {
                 purged += self.rest_cache.purge_below(r.epoch_after);
                 purged += self.render_cache.purge_below(r.epoch_after);
             }
+        }
+        if daemon == "slurmctld" {
+            self.membership.invalidate();
         }
         // The widget JSON cache carries no epoch tags — post-recovery its
         // last-known-good copies may describe rolled-back state, so clear

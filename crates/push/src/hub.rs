@@ -1,11 +1,11 @@
 //! The subscription hub: sharded registry, bounded queues, condvar wakeups.
 //!
-//! Lock ordering (deadlock freedom): the account resolver reaches into
-//! `slurmctld` (daemon lock), and the publisher calls [`Hub::publish`]
-//! *while holding* that daemon lock. The hub therefore never invokes the
-//! resolver while holding any hub lock — account sets are resolved first
-//! and swapped in afterwards — and the publish path only ever takes a shard
-//! lock and per-subscriber locks, each for O(queue op) time.
+//! Lock ordering (deadlock freedom): the account resolver may reach into
+//! `slurmctld`, and the publisher calls [`Hub::publish`] *while holding*
+//! the daemon lock. The hub therefore never invokes the resolver while
+//! holding any hub lock — account sets are resolved first and swapped in
+//! afterwards — and the publish path only ever takes a shard lock and
+//! per-subscriber locks, each for O(queue op) time.
 
 use hpcdash_obs::{Counter, Gauge, Histogram, Registry, Span};
 use hpcdash_slurm::events::{EventSink, JobEvent};
@@ -16,10 +16,12 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Resolves the set of account names a user may see. Called at subscribe
-/// time and then at most once per TTL window per subscriber — never on the
-/// per-event fan-out path.
-pub type AccountResolver = Arc<dyn Fn(&str) -> Vec<String> + Send + Sync>;
+/// Resolves the account names a user may see. Called at subscribe time and
+/// on every [`Hub::wait`] — never on the per-event fan-out path. The
+/// resolver owns freshness: it should hand back the same `Arc` while the
+/// answer is unchanged, because the hub rebuilds a subscriber's lookup set
+/// only when the `Arc` it gets differs from the one it last saw.
+pub type AccountResolver = Arc<dyn Fn(&str) -> Arc<[String]> + Send + Sync>;
 
 /// Hub tuning knobs.
 #[derive(Debug, Clone)]
@@ -29,9 +31,6 @@ pub struct HubConfig {
     /// Bounded per-subscriber queue length; overflowing coalesces the queue
     /// into a single `resync_required` marker.
     pub queue_capacity: usize,
-    /// How long a resolved account set stays trusted before the next `wait`
-    /// refreshes it.
-    pub accounts_ttl: Duration,
     /// Subscribers that have not polled for this long are garbage-collected.
     pub idle_ttl: Duration,
 }
@@ -41,7 +40,6 @@ impl Default for HubConfig {
         HubConfig {
             shards: 8,
             queue_capacity: 256,
-            accounts_ttl: Duration::from_secs(60),
             idle_ttl: Duration::from_secs(300),
         }
     }
@@ -74,9 +72,18 @@ struct SubQueue {
     delivered_through: u64,
 }
 
+/// A subscriber's visible accounts: the resolver's answer, and a set built
+/// from it for the fan-out path's membership checks.
 struct AccountSet {
+    resolved: Arc<[String]>,
     accounts: HashSet<String>,
-    refreshed: Instant,
+}
+
+impl AccountSet {
+    fn new(resolved: Arc<[String]>) -> AccountSet {
+        let accounts = resolved.iter().cloned().collect();
+        AccountSet { resolved, accounts }
+    }
 }
 
 struct Subscriber {
@@ -210,17 +217,15 @@ impl Hub {
                 );
             }
         }
-        // Resolve visibility BEFORE taking any hub lock (the resolver takes
-        // the daemon lock, which publishers hold while calling into us).
-        let accounts: HashSet<String> = (self.resolver)(user).into_iter().collect();
+        // Resolve visibility BEFORE taking any hub lock (the resolver may
+        // query slurmctld, whose publishers hold the daemon lock while
+        // calling into us).
+        let accounts = AccountSet::new((self.resolver)(user));
         let now = Instant::now();
         let fresh = Arc::new(Subscriber {
             user: user.to_string(),
             is_admin,
-            accounts: RwLock::new(AccountSet {
-                accounts,
-                refreshed: now,
-            }),
+            accounts: RwLock::new(accounts),
             q: Mutex::new(SubQueue {
                 queue: VecDeque::new(),
                 resync_required: false,
@@ -362,8 +367,9 @@ impl Hub {
     }
 
     /// Drain queued events, parking up to `deadline` while the queue is
-    /// empty. A zero deadline drains without parking. Also refreshes the
-    /// subscriber's account set when its TTL has lapsed.
+    /// empty. A zero deadline drains without parking. First re-reads the
+    /// subscriber's accounts from the resolver, so events published after
+    /// this call are filtered by its current answer.
     pub fn wait(&self, handle: &SubscriberHandle, deadline: Duration) -> Delivery {
         let sub = &*handle.sub;
         *sub.last_poll.lock() = Instant::now();
@@ -428,19 +434,18 @@ impl Hub {
         }
     }
 
-    /// Refresh the subscriber's account set if its TTL lapsed. The resolver
-    /// runs with no hub locks held; concurrent refreshes are harmless.
+    /// Swap in the resolver's current answer, rebuilding the lookup set
+    /// only when it is a different `Arc`. The resolver runs with no hub
+    /// locks held; concurrent refreshes are harmless.
     fn refresh_accounts(&self, sub: &Subscriber) {
         if sub.is_admin {
             return;
         }
-        if sub.accounts.read().refreshed.elapsed() < self.cfg.accounts_ttl {
+        let resolved = (self.resolver)(&sub.user);
+        if Arc::ptr_eq(&resolved, &sub.accounts.read().resolved) {
             return;
         }
-        let accounts: HashSet<String> = (self.resolver)(&sub.user).into_iter().collect();
-        let mut set = sub.accounts.write();
-        set.accounts = accounts;
-        set.refreshed = Instant::now();
+        *sub.accounts.write() = AccountSet::new(resolved);
     }
 }
 
@@ -510,18 +515,59 @@ mod tests {
         }
     }
 
+    fn accounts(names: &[&str]) -> Arc<[String]> {
+        names.iter().map(|n| n.to_string()).collect()
+    }
+
     fn hub_with(cfg: HubConfig) -> Hub {
         // alice belongs to physics; nobody else has accounts.
+        let physics = accounts(&["physics"]);
+        let none = accounts(&[]);
         Hub::new(
             cfg,
-            Arc::new(|user: &str| {
+            Arc::new(move |user: &str| {
                 if user == "alice" {
-                    vec!["physics".to_string()]
+                    physics.clone()
                 } else {
-                    Vec::new()
+                    none.clone()
                 }
             }),
         )
+    }
+
+    #[test]
+    fn wait_filters_by_the_resolvers_current_answer() {
+        let answer = Arc::new(Mutex::new(accounts(&["physics"])));
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let hub = {
+            let answer = answer.clone();
+            let calls = calls.clone();
+            Hub::new(
+                HubConfig::default(),
+                Arc::new(move |_: &str| {
+                    calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    answer.lock().clone()
+                }),
+            )
+        };
+        let (alice, _) = hub.ensure("alice:t", "alice", false);
+        hub.publish(&event(1, "bob", "physics"));
+        hub.publish(&event(2, "carol", "chem"));
+        let seqs = |d: Delivery| d.events.iter().map(|e| e.seq).collect::<Vec<_>>();
+        assert_eq!(seqs(hub.wait(&alice, Duration::ZERO)), vec![1]);
+        // alice moves from physics to chem. The very next wait re-reads the
+        // resolver, and events published after it are filtered by the new set.
+        *answer.lock() = accounts(&["chem"]);
+        assert!(hub.wait(&alice, Duration::ZERO).events.is_empty());
+        hub.publish(&event(3, "bob", "physics"));
+        hub.publish(&event(4, "carol", "chem"));
+        assert_eq!(seqs(hub.wait(&alice, Duration::ZERO)), vec![4]);
+        // One resolver call at subscribe time, then one per wait.
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 4);
+        // Admins see everything and never consult the resolver on wait.
+        let (root, _) = hub.ensure("root:t", "root", true);
+        hub.wait(&root, Duration::ZERO);
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 5);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! `hpcdash-push` — the real-time event fan-out hub.
 //!
 //! The legacy updates feed is a stateless poll: every `/api/updates` request
-//! scans the whole `EventLog` and re-resolves the viewer's account set, so N
-//! users cost N scans + N `scontrol show assoc` RPCs per refresh interval —
-//! the same shape as the squeue storms the paper's caching exists to prevent
-//! (§3.2). This crate inverts the data flow: `slurmctld` publishes each job
+//! scans the whole `EventLog`, so N users cost N scans per refresh interval
+//! — the same shape as the squeue storms the paper's caching exists to
+//! prevent (§3.2). This crate inverts the data flow: `slurmctld` publishes each job
 //! transition once into a [`Hub`], which fans it out to pre-filtered,
 //! bounded per-subscriber queues. A long-poll route then parks a server
 //! worker on the subscriber's condvar until events arrive or a deadline
@@ -13,9 +12,12 @@
 //! Design points (see DESIGN.md §3):
 //! - **Sharded registry** — subscribers are spread over shards so subscribe
 //!   and fan-out contend on a fraction of the registry, not all of it.
-//! - **Pre-filtered visibility** — the subscriber's account set is resolved
-//!   once at subscribe time and refreshed on a TTL, so fan-out does an O(1)
-//!   set-membership check per event instead of a per-poll daemon query.
+//! - **Pre-filtered visibility** — the subscriber's account set comes from
+//!   an [`AccountResolver`] (the dashboard's shared membership table) at
+//!   subscribe time and is re-read on every `wait`, outside the fan-out
+//!   path; the lookup set is rebuilt only when the resolver's `Arc` changes.
+//!   Fan-out does an O(1) set-membership check per event, never a daemon
+//!   query.
 //! - **Coalesce-to-resync overflow** — a subscriber that stops draining is
 //!   never allowed to block the publisher: when its bounded queue fills,
 //!   the queue is dropped wholesale and the subscriber is marked

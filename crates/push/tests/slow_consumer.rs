@@ -24,6 +24,13 @@ fn event(seq: u64, user: &str) -> JobEvent {
     }
 }
 
+/// Everyone belongs to physics; one shared answer, as a membership table
+/// hands out.
+fn physics_resolver() -> hpcdash_push::AccountResolver {
+    let physics: Arc<[String]> = Arc::from(vec!["physics".to_string()]);
+    Arc::new(move |_: &str| physics.clone())
+}
+
 const PUBLISHERS: usize = 8;
 const EVENTS_PER_PUBLISHER: u64 = 2_000;
 
@@ -34,7 +41,7 @@ fn stuck_subscriber_never_stalls_publishers_or_peers() {
             queue_capacity: 64,
             ..HubConfig::default()
         },
-        Arc::new(|_: &str| vec!["physics".to_string()]),
+        physics_resolver(),
     ));
 
     // One subscriber that never drains, one that drains continuously. Both
@@ -141,7 +148,7 @@ fn concurrent_publish_keeps_per_subscriber_order_and_uniqueness() {
             queue_capacity: 100_000,
             ..HubConfig::default()
         },
-        Arc::new(|_: &str| Vec::new()),
+        Arc::new(|_: &str| Arc::from(Vec::new())),
     ));
     let (sub, _) = hub.ensure("alice:tab", "alice", false);
 
